@@ -2,10 +2,11 @@
 
 ``Backend`` (``ingest`` / ``snapshot`` / ``query`` / ``close``) is the
 single driver surface for the sequential baseline, the simulated CoTS
-framework, the native-thread shards, both multiprocess modes (sharded
-and one-table) and the sketch engines; :mod:`repro.backend.algebra`
-gives their summaries a uniform serialize/merge/widen algebra so any
-backend's answer composes with any other's.
+framework, both multiprocess modes (sharded and one-table) and the
+vectorized sketch engines — six engines, all built by
+:func:`create_backend`; :mod:`repro.backend.algebra` gives their
+summaries a uniform serialize/merge/widen algebra so any backend's
+answer composes with any other's.
 
 >>> from repro.backend import create_backend
 >>> with_backend = create_backend("mp-one-table", workers=4)
@@ -16,9 +17,7 @@ backend's answer composes with any other's.
 from repro.backend.adapters import (
     CotsSimBackend,
     MPBackend,
-    NativeThreadsBackend,
     SequentialBackend,
-    SketchCMBackend,
     SketchCMVecBackend,
     SketchCSVecBackend,
 )
@@ -43,10 +42,8 @@ __all__ = [
     "CotsSimBackend",
     "MERGED_BACKENDS",
     "MPBackend",
-    "NativeThreadsBackend",
     "SKETCH_BACKENDS",
     "SequentialBackend",
-    "SketchCMBackend",
     "SketchCMVecBackend",
     "SketchCSVecBackend",
     "Snapshot",

@@ -4,7 +4,9 @@ Each adapter is a thin, metered shell: ``backend.ingest.items`` /
 ``backend.ingest.batches`` count what flows in, and
 ``backend.snapshot.seconds`` times the query path — the same three
 instruments for every engine, which is what makes the bench ladders and
-the scenario matrix directly comparable across designs.
+the scenario matrix directly comparable across designs.  The shared
+base also owns the life cycle: after ``close()`` every engine rejects
+``ingest``, ``snapshot``, ``query`` and ``estimate`` alike.
 
 Two engine families need a note:
 
@@ -13,11 +15,10 @@ Two engine families need a note:
   ingested batches and re-runs the driver per snapshot.  That is the
   honest cost of querying a simulation mid-stream; the conformance
   tests treat it like any other backend.
-* **Sketch adapters** (``sketch-cm``, ``sketch-cm-vec``,
-  ``sketch-cs-vec``): a pure sketch cannot enumerate keys, so the
-  vectorized adapters pair the table with a bounded Space Saving
-  *candidate identifier* fed from each chunk's heaviest codes (the same
-  scheme the one-table pool uses).  Every reported count is read from
+* **Sketch adapters** (``sketch-cm-vec``, ``sketch-cs-vec``): a pure
+  sketch cannot enumerate keys, so the adapters pair the table with a
+  bounded Space Saving *candidate identifier* fed from each chunk's
+  heaviest codes (the same scheme the one-table pool uses).  Every reported count is read from
   the sketch table; the identifier only chooses *which* keys to report.
 """
 
@@ -38,7 +39,12 @@ from repro.obs.registry import TIME_BUCKETS, coerce
 
 
 class _Instrumented:
-    """Shared metering + life-cycle plumbing for every adapter."""
+    """Shared metering + life-cycle plumbing for every adapter.
+
+    Subclasses implement ``_ingest`` (returns the number ingested),
+    ``_snapshot`` and ``_estimate``; the public methods here check the
+    backend is open and meter the call.
+    """
 
     name = "abstract"
 
@@ -55,13 +61,26 @@ class _Instrumented:
         if self._closed:
             raise BackendError(f"backend {self.name!r} is closed")
 
-    def _meter_ingest(self, items: int) -> int:
+    def ingest(self, batch: Sequence[Element]) -> int:
+        self._ensure_open()
+        items = self._ingest(batch)
         self._m_items.inc(items)
         self._m_batches.inc()
         return items
 
+    def snapshot(self) -> Snapshot:
+        self._ensure_open()
+        started = time.perf_counter()
+        snap = self._snapshot()
+        self._m_snapshot_seconds.observe(time.perf_counter() - started)
+        return snap
+
     def query(self, k: int = 10) -> List[CounterEntry]:
         return self.snapshot().top_k(k)
+
+    def estimate(self, element: Element) -> int:
+        self._ensure_open()
+        return self._estimate(element)
 
     def close(self) -> None:
         self._closed = True
@@ -74,25 +93,21 @@ class SequentialBackend(_Instrumented):
 
     def __init__(self, capacity: int = 256, metrics=None) -> None:
         super().__init__(metrics)
-        self._counter = SpaceSaving(capacity=capacity)
+        self._counter = SpaceSaving(capacity=capacity, metrics=metrics)
 
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
+    def _ingest(self, batch: Sequence[Element]) -> int:
         self._counter.process_many(batch)
-        return self._meter_ingest(len(batch))
+        return len(batch)
 
-    def snapshot(self) -> Snapshot:
-        started = time.perf_counter()
-        snap = Snapshot(
+    def _snapshot(self) -> Snapshot:
+        return Snapshot(
             scheme=self.name,
             processed=self._counter.processed,
             entries=self._counter.entries(),
             error_bound=self._counter.max_error(),
         )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
 
-    def estimate(self, element: Element) -> int:
+    def _estimate(self, element: Element) -> int:
         return self._counter.estimate(element)
 
 
@@ -103,7 +118,9 @@ class CotsSimBackend(_Instrumented):
     each snapshot replays everything ingested so far through
     :func:`repro.cots.run_cots` — snapshot cost grows with the stream,
     which is the true price of querying a simulation, not an adapter
-    artifact.
+    artifact.  The run uses the pre-aggregated batch claim
+    (``preaggregate=True, batch=128``), the configuration the scenario
+    matrix audits; ``metrics`` records each replay's ``cots.*`` layer.
     """
 
     name = "cots-sim"
@@ -116,77 +133,42 @@ class CotsSimBackend(_Instrumented):
         self.threads = threads
         self._buffer: List[Element] = []
 
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
+    def _ingest(self, batch: Sequence[Element]) -> int:
         self._buffer.extend(batch)
-        return self._meter_ingest(len(batch))
+        return len(batch)
 
     def _run(self):
         from repro.cots import CoTSRunConfig, run_cots
 
         return run_cots(
             self._buffer,
-            CoTSRunConfig(threads=self.threads, capacity=self.capacity),
+            CoTSRunConfig(
+                threads=self.threads,
+                capacity=self.capacity,
+                preaggregate=True,
+                batch=128,
+                metrics=self.metrics if self.metrics.enabled else None,
+            ),
         )
 
-    def snapshot(self) -> Snapshot:
-        started = time.perf_counter()
+    def _snapshot(self) -> Snapshot:
         counter = self._run().counter
-        snap = Snapshot(
+        return Snapshot(
             scheme=self.name,
             processed=counter.processed,
             entries=counter.entries(),
             error_bound=counter.max_error(),
             extras={"threads": self.threads, "replayed": len(self._buffer)},
         )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
 
-    def estimate(self, element: Element) -> int:
+    def _estimate(self, element: Element) -> int:
         if not self._buffer:
             return 0
         return self._run().counter.estimate(element)
 
 
-class NativeThreadsBackend(_Instrumented):
-    """Real-thread Independent Structures (per-thread shard + merge)."""
-
-    name = "native-threads"
-
-    def __init__(
-        self, capacity: int = 256, threads: int = 4, metrics=None
-    ) -> None:
-        super().__init__(metrics)
-        from repro.native.sharded import ShardedSpaceSaving
-
-        self._sharded = ShardedSpaceSaving(
-            threads=threads, capacity=capacity
-        )
-
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
-        self._sharded.count(list(batch))
-        return self._meter_ingest(len(batch))
-
-    def snapshot(self) -> Snapshot:
-        started = time.perf_counter()
-        merged = self._sharded.merged()
-        snap = Snapshot(
-            scheme=self.name,
-            processed=merged.processed,
-            entries=merged.entries(),
-            error_bound=merged.max_error(),
-            extras={"threads": self._sharded.threads},
-        )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
-
-    def estimate(self, element: Element) -> int:
-        return self._sharded.merged().estimate(element)
-
-
 class MPBackend(_Instrumented):
-    """Multiprocess pools (sharded shm/pickle and one-table) as backends."""
+    """Multiprocess pools (sharded and one-table) as backends."""
 
     def __init__(self, config, name: str, metrics=None) -> None:
         super().__init__(metrics)
@@ -200,16 +182,12 @@ class MPBackend(_Instrumented):
         )
         self._pool = pool_cls(config, metrics=metrics)
 
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
-        sent = self._pool.count(batch)
-        return self._meter_ingest(sent)
+    def _ingest(self, batch: Sequence[Element]) -> int:
+        return self._pool.count(batch)
 
-    def snapshot(self) -> Snapshot:
-        self._ensure_open()
-        started = time.perf_counter()
+    def _snapshot(self) -> Snapshot:
         merged = self._pool.merged()
-        snap = Snapshot(
+        return Snapshot(
             scheme=self.name,
             processed=merged.processed,
             entries=merged.entries(),
@@ -219,11 +197,8 @@ class MPBackend(_Instrumented):
                 "mode": self._pool.config.mode,
             },
         )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
 
-    def estimate(self, element: Element) -> int:
-        self._ensure_open()
+    def _estimate(self, element: Element) -> int:
         return self._pool.merged().estimate(element)
 
     def telemetry(self) -> dict:
@@ -245,49 +220,6 @@ class MPBackend(_Instrumented):
         super().close()
 
 
-class SketchCMBackend(_Instrumented):
-    """Scalar Count-Min behind the protocol (the differential reference)."""
-
-    name = "sketch-cm"
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        epsilon: float = 0.001,
-        delta: float = 0.01,
-        seed: Optional[int] = 0,
-        metrics=None,
-    ) -> None:
-        super().__init__(metrics)
-        self._sketch = CountMinSketch(
-            epsilon=epsilon, delta=delta, seed=seed,
-            track_candidates=capacity,
-        )
-
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
-        self._sketch.process_many(batch)
-        return self._meter_ingest(len(batch))
-
-    def snapshot(self) -> Snapshot:
-        started = time.perf_counter()
-        snap = Snapshot(
-            scheme=self.name,
-            processed=self._sketch.processed,
-            entries=self._sketch.entries(),
-            error_bound=self._sketch.error_bound(),
-            extras={
-                "depth": self._sketch.depth,
-                "width": self._sketch.width,
-            },
-        )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
-
-    def estimate(self, element: Element) -> int:
-        return self._sketch.estimate(element)
-
-
 class _VectorSketchBackend(_Instrumented):
     """Shared ingest loop of the vectorized sketch backends.
 
@@ -306,8 +238,7 @@ class _VectorSketchBackend(_Instrumented):
         self._m_cells = self.metrics.counter("sketch.cells_touched")
         self._m_occupancy = self.metrics.gauge("sketch.table.occupancy")
 
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
+    def _ingest(self, batch: Sequence[Element]) -> int:
         codes, weights = self._sketch.codec.encode_chunk(batch)
         self._sketch.process_weighted(codes, weights)
         n = len(codes)
@@ -322,13 +253,12 @@ class _VectorSketchBackend(_Instrumented):
         if self.metrics.enabled:
             self._m_updates.inc(n)
             self._m_cells.inc(n * self._sketch.depth)
-        return self._meter_ingest(len(batch))
+        return len(batch)
 
     def _error_bound(self) -> int:
         raise NotImplementedError
 
-    def snapshot(self) -> Snapshot:
-        started = time.perf_counter()
+    def _snapshot(self) -> Snapshot:
         decode = self._sketch.codec.decode
         entries = sorted(
             (
@@ -346,7 +276,7 @@ class _VectorSketchBackend(_Instrumented):
             self._m_occupancy.set(
                 float(np.count_nonzero(table)) / table.size
             )
-        snap = Snapshot(
+        return Snapshot(
             scheme=self.name,
             processed=self._sketch.processed,
             entries=entries,
@@ -356,10 +286,8 @@ class _VectorSketchBackend(_Instrumented):
                 "width": self._sketch.width,
             },
         )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
 
-    def estimate(self, element: Element) -> int:
+    def _estimate(self, element: Element) -> int:
         return self._sketch.estimate(element)
 
 

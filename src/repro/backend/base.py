@@ -19,8 +19,8 @@ adapter glue.  This package collapses them to one small surface:
     Convenience queries over the current snapshot semantics: top-k
     entries and a point estimate.
 ``close()``
-    Release processes/shm/threads.  Idempotent; a closed backend only
-    rejects further ``ingest``.
+    Release processes/shm.  Idempotent; a closed backend rejects
+    ``ingest``, ``snapshot``, ``query`` and ``estimate``.
 
 The contract all implementations share (pinned by the conformance
 tests): estimates upper-bound true counts, ``count - error`` lower

@@ -32,10 +32,10 @@ Three suites (``--suite``):
 
 * ``scenarios`` (→ ``BENCH_scenarios.json``) — the *accuracy* matrix:
   every scenario in :mod:`repro.scenarios` (drift, flash crowds, hot-set
-  churn, and the two adversaries) counted by every backend (sequential
-  batched, simulated CoTS, mp on both transports), scored against exact
-  ground truth.  Gated on zero guarantee violations, never on timing;
-  see docs/scenarios.md.
+  churn, and the two adversaries) counted by every one-sided registry
+  backend (sequential, simulated CoTS, both mp modes, vectorized
+  Count-Min), scored against exact ground truth.  Gated on zero
+  guarantee violations, never on timing; see docs/scenarios.md.
 
 Every result entry also records ``peak_rss_kb`` — the process-tree
 high-water RSS (``resource.getrusage``, self + children) at the moment
@@ -476,13 +476,9 @@ def _bench_mp(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     Every worker count runs the identical pinned stream; ``equivalent``
     asserts the merged answer is within the documented Space Saving
     merge error bounds of the sequential batched baseline (see
-    :func:`repro.mp.driver.summaries_equivalent`).
-
-    The ladder runs *both* data planes at every rung: the shm transport
-    keeps the historical ``mp-sharded-<N>w`` names (so trajectory diffs
-    line up across the transport switch), the pickle reference rides
-    along as ``mp-sharded-<N>w-pickle``.  The gap between the two
-    columns is the measured cost of per-item pickling.
+    :func:`repro.mp.driver.summaries_equivalent`).  Every rung runs
+    the shared-memory data plane (``transport`` is recorded so older
+    trajectories that also carried pickled-batch rungs stay diffable).
     """
     from repro.mp import MPConfig, run_mp, summaries_equivalent
     from repro.workloads.zipf import zipf_stream
@@ -520,39 +516,36 @@ def _bench_mp(params: Dict[str, Any]) -> List[Dict[str, Any]]:
         }
     ]
     for workers in params["workers"]:
-        for transport in ("shm", "pickle"):
-            config = MPConfig(
-                workers=int(workers),
-                capacity=capacity,
-                chunk_elements=int(params["chunk_elements"]),
-                timeout=float(params["timeout"]),
-                transport=transport,
-            )
-            best = None
-            for _ in range(repeats):
-                result = run_mp(stream, config, metrics=MetricsRegistry())
-                if best is None or result.wall_seconds < best.wall_seconds:
-                    best = result
-            suffix = "" if transport == "shm" else "-pickle"
-            entries.append(
-                {
-                    "name": f"mp-sharded-{workers}w{suffix}",
-                    "kind": "mp",
-                    "elements": length,
-                    "workers": int(workers),
-                    "transport": transport,
-                    "wall_seconds": best.wall_seconds,
-                    "startup_seconds": best.startup_seconds,
-                    "throughput_eps": best.throughput,
-                    "speedup_vs_sequential": baseline_secs / best.wall_seconds,
-                    "equivalent": summaries_equivalent(
-                        baseline, best.counter, k=10
-                    ),
-                    "partition_how": config.partition_how,
-                    "peak_rss_kb": _peak_rss_kb(),
-                    "metrics": best.extras.get("metrics") or {},
-                }
-            )
+        config = MPConfig(
+            workers=int(workers),
+            capacity=capacity,
+            chunk_elements=int(params["chunk_elements"]),
+            timeout=float(params["timeout"]),
+        )
+        best = None
+        for _ in range(repeats):
+            result = run_mp(stream, config, metrics=MetricsRegistry())
+            if best is None or result.wall_seconds < best.wall_seconds:
+                best = result
+        entries.append(
+            {
+                "name": f"mp-sharded-{workers}w",
+                "kind": "mp",
+                "elements": length,
+                "workers": int(workers),
+                "transport": "shm",
+                "wall_seconds": best.wall_seconds,
+                "startup_seconds": best.startup_seconds,
+                "throughput_eps": best.throughput,
+                "speedup_vs_sequential": baseline_secs / best.wall_seconds,
+                "equivalent": summaries_equivalent(
+                    baseline, best.counter, k=10
+                ),
+                "partition_how": config.partition_how,
+                "peak_rss_kb": _peak_rss_kb(),
+                "metrics": best.extras.get("metrics") or {},
+            }
+        )
     return entries
 
 
@@ -635,7 +628,7 @@ def _bench_sketch(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """
     import numpy as np
 
-    from repro.backend.adapters import SketchCMVecBackend
+    from repro.backend import create_backend
     from repro.core.sketches.count_min import CountMinSketch
     from repro.core.sketches.count_sketch import CountSketch
     from repro.mp.config import MPConfig
@@ -684,9 +677,9 @@ def _bench_sketch(params: Dict[str, Any]) -> List[Dict[str, Any]]:
 
     def run_vectorized() -> None:
         registry = MetricsRegistry()
-        backend = SketchCMVecBackend(
-            capacity=capacity, epsilon=epsilon, delta=delta,
-            seed=sketch_seed, metrics=registry,
+        backend = create_backend(
+            "sketch-cm-vec", capacity=capacity, epsilon=epsilon,
+            delta=delta, seed=sketch_seed, metrics=registry,
         )
         try:
             for index in range(0, length, chunk):
@@ -900,13 +893,12 @@ def run_suite(scale: str = "tiny", suite: str = "core") -> Dict[str, Any]:
         "platform": platform.platform(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "params": params,
+        # Wall-clock numbers depend on the silicon: record it so the
+        # speedup column is interpretable (a 1-core host cannot show
+        # wall-clock scaling no matter what the code does).
+        "host_cores": os.cpu_count(),
         "results": results,
     }
-    if suite in ("mp", "sketch"):
-        # Real-parallelism numbers depend on the silicon: record it so
-        # the speedup column is interpretable (a 1-core host cannot
-        # show wall-clock scaling no matter what the code does).
-        report["host_cores"] = os.cpu_count()
     return report
 
 

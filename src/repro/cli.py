@@ -198,10 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--workers", type=int, default=1,
                        help="count on N worker processes via the "
                        "multiprocess sharded backend (space-saving only)")
-    count.add_argument("--transport", choices=("shm", "pickle"),
-                       default="shm",
-                       help="mp data plane: shared-memory rings of "
-                       "integer-coded pairs (default) or pickled batches")
 
     simulate = commands.add_parser(
         "simulate",
@@ -317,6 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     schedcheck.add_argument("--verbose", action="store_true",
                             help="print one line per schedule")
 
+    from repro.scenarios.runner import BACKENDS as SCENARIO_BACKENDS
+
     scenarios = commands.add_parser(
         "scenarios",
         help="run stream scenarios/adversaries against a backend and "
@@ -334,8 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--backend",
-        choices=("sequential", "cots", "mp-shm", "mp-pickle",
-                 "mp-one-table", "sketch-cm-vec"),
+        choices=SCENARIO_BACKENDS,
         default="sequential",
         help="counting backend under test; sketch backends are scored "
         "on Count-Min overestimate bounds (default: sequential)",
@@ -349,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--k", type=int, default=10,
                            help="top-k depth for recall/precision")
     scenarios.add_argument("--threads", type=int, default=4,
-                           help="simulated threads (cots backend)")
+                           help="simulated threads (cots-sim backend)")
     scenarios.add_argument("--workers", type=int, default=2,
                            help="worker processes (mp backends)")
     scenarios.add_argument(
@@ -385,8 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="counter/candidate budget: the error bound "
                        "is N/capacity (default: 256)")
     serve.add_argument("--threads", type=int, default=4,
-                       help="simulated threads (cots-sim / "
-                       "native-threads backends)")
+                       help="simulated threads (cots-sim backend)")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes (mp backends)")
     serve.add_argument("--epsilon", type=float, default=0.001,
@@ -589,11 +585,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
         counter = run_mp(
             stream,
-            MPConfig(
-                workers=args.workers,
-                capacity=args.capacity,
-                transport=args.transport,
-            ),
+            MPConfig(workers=args.workers, capacity=args.capacity),
         ).counter
     else:
         counter = algorithms[args.algorithm]()

@@ -60,7 +60,7 @@ from repro.core.sketches.count_min import CountMinSketch
 from repro.core.sketches.kernels import row_hashes
 from repro.core.space_saving import SpaceSaving
 from repro.errors import BackendError, WorkerTimeoutError
-from repro.mp.config import MPConfig
+from repro.mp.config import RING_SEGMENTS, MPConfig
 from repro.mp.pool import ShardedProcessPool
 from repro.mp.worker import CRASH_EXIT_CODE, _HANG_SECONDS, put_beacon
 from repro.obs.registry import TIME_BUCKETS
@@ -297,11 +297,8 @@ class OneTablePool(ShardedProcessPool):
             ),
             self._hash_a,
             self._hash_b,
-            (
-                self._rings[index].name,
-                self.config.chunk_elements,
-                self.config.ring_segments,
-            ),
+            (self._rings[index].name, self.config.chunk_elements,
+             RING_SEGMENTS),
             self.config.fault,
             self.tracer.enabled,
             self.config.beacon_every,

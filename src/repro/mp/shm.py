@@ -1,13 +1,13 @@
 """The zero-copy shared-memory data plane of the multiprocess backend.
 
-The original (and still available) ``transport="pickle"`` ships every
-routed batch as a pickled list of Python objects over a
-``multiprocessing`` queue — measured on the mp bench ladder, the
-pickle/unpickle cost eats the entire parallel win (BENCH_mp.json topped
-out at 1.01x vs sequential).  This module is the replacement shape, the
-one the merge-based parallel Space Saving literature (Cafaro et al.,
-QPOPSS) gets its near-linear scaling from: shards exchange *compact
-fixed-width data*, never per-item Python objects.
+Shipping every routed batch as a pickled list of Python objects over a
+``multiprocessing`` queue — the multiprocess backend's first transport —
+let the pickle/unpickle cost eat the entire parallel win (the mp bench
+ladder topped out at 1.01x vs sequential).  This module is the
+replacement shape, the one the merge-based parallel Space Saving
+literature (Cafaro et al., QPOPSS) gets its near-linear scaling from:
+shards exchange *compact fixed-width data*, never per-item Python
+objects.
 
 Three pieces:
 
@@ -24,10 +24,10 @@ Three pieces:
     ``collections.Counter`` pass plus a per-*distinct*-key dict lookup.
 
     Known (documented) semantic edge: keys of different types that
-    compare equal (``1`` vs ``1.0``) are merged by the pickle transport
-    (dict semantics) but coded separately by the int fast lane.  Streams
-    relying on cross-type key equality should use
-    ``transport="pickle"``.
+    compare equal (``1`` vs ``1.0``) are merged by dict-keyed counters
+    (the ``sequential`` backend) but coded separately by the int fast
+    lane.  Streams relying on cross-type key equality should count
+    sequentially.
 
 :func:`route_coded`
     Vectorized hash/round-robin/block routing of a pre-aggregated

@@ -90,8 +90,7 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
         _spec("mp.dispatched.items", "counter", "elements", "mp",
               "stream elements dispatched to the worker pool"),
         _spec("mp.dispatched.batches", "counter", "batches", "mp",
-              "non-empty batches shipped to workers (pickled batches or "
-              "shm ring segments, per the configured transport)"),
+              "non-empty shm ring segments shipped to workers"),
         _spec("mp.worker.<i>.items", "counter", "elements", "mp",
               "stream elements routed to worker shard <i>"),
         _spec("mp.worker.<i>.items_per_sec", "gauge", "elements/s", "mp",
@@ -261,11 +260,11 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
               "telemetry beacon (worker-side truth, vs the parent-side "
               "mp.worker.<i>.items routing counter)"),
         _spec("mp.beacon.<i>.batches", "counter", "batches", "mp",
-              "batches/segments worker <i> reports consumed via its "
+              "ring segments worker <i> reports consumed via its "
               "telemetry beacon"),
         _spec("mp.beacon.<i>.ring_busy", "gauge", "segments", "mp",
               "busy segments worker <i> observed in its shm ring at "
-              "beacon time (live occupancy; 0 for pickled transport)"),
+              "beacon time (live occupancy)"),
         _spec("mp.beacons.received", "counter", "beacons", "mp",
               "worker telemetry beacons folded by the parent pool"),
         # ------------------------------------------------------- sim

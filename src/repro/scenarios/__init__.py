@@ -40,7 +40,6 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.runner import (
     BACKENDS,
-    SKETCH_BACKENDS,
     ScenarioRun,
     run_backend,
     run_scenario,
@@ -54,7 +53,6 @@ __all__ = [
     "FuzzReport",
     "LANES",
     "SCENARIOS",
-    "SKETCH_BACKENDS",
     "Scenario",
     "ScenarioParams",
     "ScenarioRun",

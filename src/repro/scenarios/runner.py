@@ -1,10 +1,10 @@
 """Run any registered scenario against any counting backend.
 
 One entry point, :func:`run_scenario`, ties the pieces together: build
-the seeded stream, count it with the chosen backend (sequential batched,
-simulated CoTS, or the real multiprocess backend on either transport),
-score the result against exact ground truth, and record the
-``scenario.*`` metrics into an optional registry.
+the seeded stream, count it with the chosen registry backend (built by
+:func:`repro.backend.create_backend`, like every other engine), score
+the result against exact ground truth, and record the ``scenario.*``
+metrics into an optional registry.
 
 :func:`audit.selfcheck` runs before every scenario, so a corrupted
 scoring helper fails the suite loudly rather than mis-scoring quietly.
@@ -16,11 +16,9 @@ import dataclasses
 import time
 from typing import Dict, Optional, Tuple
 
+from repro.backend import BACKEND_NAMES, SKETCH_BACKENDS, create_backend
 from repro.core.space_saving import SpaceSaving
-from repro.cots.framework import CoTSRunConfig, run_cots
 from repro.errors import ConfigurationError
-from repro.mp.config import MPConfig
-from repro.mp.driver import run_mp
 from repro.obs.registry import MetricsRegistry
 from repro.scenarios.audit import (
     AccuracyReport,
@@ -35,20 +33,13 @@ from repro.scenarios.registry import (
 )
 from repro.schedcheck.auditor import exact_counts
 
-#: every backend the scenario matrix exercises
-BACKENDS = (
-    "sequential",
-    "cots",
-    "mp-shm",
-    "mp-pickle",
-    "mp-one-table",
-    "sketch-cm-vec",
-)
+#: every backend the scenario matrix exercises: the registry minus
+#: ``sketch-cs-vec``, whose unbiased (not one-sided) estimates may dip
+#: below truth, so the underestimate gate cannot apply to it
+BACKENDS = tuple(name for name in BACKEND_NAMES if name != "sketch-cs-vec")
 
-#: backends whose summaries are Count-Min table reads: scored with the
-#: one-sided sketch contract (overestimate bounds), not Space Saving's
-#: recall guarantee — the adversary suite runs against them too
-SKETCH_BACKENDS = ("mp-one-table", "sketch-cm-vec")
+#: elements per ``ingest`` call, rounded down to whole dispatch chunks
+INGEST_BATCH = 8_192
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,61 +75,38 @@ def run_backend(
 ) -> Tuple[SpaceSaving, float]:
     """Count ``stream`` with one backend; return (summary, wall seconds).
 
-    ``mp-*`` backends return the hierarchically merged shard summary —
-    callers must score it with ``merged=True`` (merge truncation may
-    drop a borderline heavy hitter; the error bounds still hold).
+    The engine comes from :func:`create_backend`, is fed in batches of
+    whole dispatch chunks and queried once; the wall time covers ingest
+    plus that snapshot (engine start-up is excluded).  ``chunk_elements``
+    0 sizes the multiprocess dispatch chunk from the stream length.
     """
-    if backend == "sequential":
-        started = time.perf_counter()
-        counter = SpaceSaving(capacity=capacity, metrics=metrics)
-        counter.process_many(stream)
-        return counter, time.perf_counter() - started
-    if backend == "cots":
-        started = time.perf_counter()
-        result = run_cots(
-            stream,
-            CoTSRunConfig(
-                threads=threads,
-                capacity=capacity,
-                preaggregate=True,
-                batch=128,
-                metrics=metrics,
-            ),
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})"
         )
-        return result.counter, time.perf_counter() - started
-    if backend in ("mp-shm", "mp-pickle", "mp-one-table"):
-        chunk = chunk_elements or min(
-            32_768, max(256, len(stream) // (workers * 4) or 256)
-        )
-        config = MPConfig(
-            workers=workers,
-            capacity=capacity,
-            chunk_elements=chunk,
-            transport="pickle" if backend == "mp-pickle" else "shm",
-            mode="one_table" if backend == "mp-one-table" else "sharded",
-            timeout=timeout,
-        )
-        result = run_mp(stream, config, metrics=metrics)
-        return result.counter, result.wall_seconds
-    if backend == "sketch-cm-vec":
-        from repro.backend.adapters import SketchCMVecBackend
-
-        adapter = SketchCMVecBackend(capacity=capacity, metrics=metrics)
-        try:
-            started = time.perf_counter()
-            for index in range(0, len(stream), 8192):
-                adapter.ingest(stream[index:index + 8192])
-            snap = adapter.snapshot()
-            wall = time.perf_counter() - started
-        finally:
-            adapter.close()
-        counter = SpaceSaving.from_entries(
-            capacity, snap.entries, snap.processed
-        )
-        return counter, wall
-    raise ConfigurationError(
-        f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})"
+    chunk = chunk_elements or min(
+        32_768, max(256, len(stream) // (workers * 4) or 256)
     )
+    batch = max(chunk, INGEST_BATCH - INGEST_BATCH % chunk)
+    engine = create_backend(
+        backend,
+        capacity=capacity,
+        threads=threads,
+        workers=workers,
+        chunk_elements=chunk,
+        timeout=timeout,
+        metrics=metrics,
+    )
+    try:
+        started = time.perf_counter()
+        for index in range(0, len(stream), batch):
+            engine.ingest(stream[index:index + batch])
+        snap = engine.snapshot()
+        wall = time.perf_counter() - started
+    finally:
+        engine.close()
+    counter = SpaceSaving.from_entries(capacity, snap.entries, snap.processed)
+    return counter, wall
 
 
 def run_scenario(
@@ -169,10 +137,13 @@ def run_scenario(
         metrics=metrics,
     )
     if backend in SKETCH_BACKENDS:
+        # Count-Min table reads: the one-sided overestimate contract
         report = score_sketch_accuracy(counter, truth, k=k)
     else:
+        # only the hierarchical shard merge may drop a borderline heavy
+        # hitter (within its error bounds); cots-sim stays strict
         report = score_accuracy(
-            counter, truth, k=k, merged=backend.startswith("mp-")
+            counter, truth, k=k, merged=backend == "mp-shm"
         )
     snapshot: Dict[str, Dict] = {}
     if metrics is not None:

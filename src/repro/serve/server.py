@@ -1,7 +1,7 @@
 """The asyncio serve tier: live ingest + the §3.2 query model on sockets.
 
 One :class:`StreamServer` owns one backend from
-:func:`repro.backend.create_backend` — any of the nine registered
+:func:`repro.backend.create_backend` — any of the six registered
 engines — and splits the work across three concerns so the hot ingest
 path never waits on a reader (the Gulisano-style snapshot-read design
 the ISSUE motivates):

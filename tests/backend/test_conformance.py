@@ -1,10 +1,9 @@
 """One conformance suite, every backend in the registry.
 
-This is the acceptance gate of PR 8's tentpole: the sequential,
-simulated-CoTS, native-thread, both multiprocess modes and the sketch
-engines all pass the *same* protocol contract — incremental ingest,
-snapshot completeness, estimate/error-bound semantics, idempotent
-close.  Anything added to ``repro.backend.registry`` is tested here
+The sequential, simulated-CoTS, both multiprocess modes and the
+vectorized sketch engines all pass the *same* protocol contract —
+incremental ingest, snapshot completeness, estimate/error-bound
+semantics, idempotent close after which every call is rejected.  Anything added to ``repro.backend.registry`` is tested here
 automatically.
 """
 
@@ -115,6 +114,12 @@ class TestProtocolConformance:
         backend.close()
         with pytest.raises(BackendError):
             backend.ingest([1, 2, 3])
+        with pytest.raises(BackendError):
+            backend.snapshot()
+        with pytest.raises(BackendError):
+            backend.query(5)
+        with pytest.raises(BackendError):
+            backend.estimate(1)
 
 
 class TestIncrementalSnapshots:

@@ -8,6 +8,7 @@ test asserts the pool is closed and all workers joined afterwards — the
 
 import pytest
 
+from repro.core.coding import StreamCodec
 from repro.core.space_saving import SpaceSaving
 from repro.errors import (
     BackendError,
@@ -55,21 +56,27 @@ def test_count_and_merge_matches_heavy_hitters(stream):
 
 
 def test_single_worker_is_identical_to_sequential(stream):
-    """With one worker every batch lands on the same shard in stream
-    order, and process_many is pinned observationally identical to the
-    per-element path — so the merged result must match exactly.  Pinned
-    to the pickle transport: it is the order-exact plane (the shm plane
-    pre-aggregates each chunk, which legitimately reorders within it)."""
+    """With one worker every coded chunk lands on the same shard in
+    stream order, so the merged result must match the parent-side coded
+    lane exactly: the same chunks through ``StreamCodec.encode_chunk``
+    and ``SpaceSaving.process_weighted`` in one process."""
+    codec = StreamCodec()
     sequential = SpaceSaving(capacity=64)
-    sequential.process_many(stream)
-    with ShardedProcessPool(
-        MPConfig(
-            workers=1, capacity=64, chunk_elements=1_000, transport="pickle"
+    for index in range(0, len(stream), 1_000):
+        codes, weights = codec.encode_chunk(stream[index:index + 1_000])
+        sequential.process_weighted(zip(codes.tolist(), weights.tolist()))
+    reference = sorted(
+        (str(element), count, error)
+        for element, count, error in codec.decode_entries(
+            (e.element, e.count, e.error) for e in sequential.entries()
         )
+    )
+    with ShardedProcessPool(
+        MPConfig(workers=1, capacity=64, chunk_elements=1_000)
     ) as pool:
         pool.count(stream)
         merged = pool.merged()
-    assert _canonical(merged) == _canonical(sequential)
+    assert _canonical(merged) == reference
     assert merged.processed == sequential.processed
 
 
@@ -138,7 +145,6 @@ def test_hung_worker_propagates_typed_timeout():
             workers=1,
             capacity=32,
             chunk_elements=4,
-            queue_depth=2,
             fault="hang",
             timeout=0.4,
         )
@@ -169,11 +175,8 @@ def test_config_validation():
         dict(chunk_elements=0),
         dict(partition_how="bogus"),
         dict(timeout=0),
-        dict(queue_depth=0),
         dict(start_method="threads"),
         dict(fault="explode"),
-        dict(transport="carrier-pigeon"),
-        dict(ring_segments=0),
     ):
         with pytest.raises(ConfigurationError):
             MPConfig(**bad)

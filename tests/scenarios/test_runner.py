@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import BACKEND_NAMES
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.scenarios import (
@@ -17,15 +18,15 @@ _PARAMS = ScenarioParams(length=1_500, alphabet=250, capacity=32, seed=3)
 def test_backend_tuple_covers_the_matrix():
     assert BACKENDS == (
         "sequential",
-        "cots",
+        "cots-sim",
         "mp-shm",
-        "mp-pickle",
         "mp-one-table",
         "sketch-cm-vec",
     )
+    assert set(BACKENDS) == set(BACKEND_NAMES) - {"sketch-cs-vec"}
 
 
-@pytest.mark.parametrize("backend", ["sequential", "cots"])
+@pytest.mark.parametrize("backend", ["sequential", "cots-sim"])
 def test_in_process_backends_run_every_scenario_kind(backend):
     for name in ("stationary-zipf", "eviction-poison"):
         run = run_scenario(name, backend, _PARAMS, k=8, threads=2)
@@ -36,7 +37,7 @@ def test_in_process_backends_run_every_scenario_kind(backend):
         assert run.wall_seconds > 0
 
 
-@pytest.mark.parametrize("backend", ["mp-shm", "mp-pickle"])
+@pytest.mark.parametrize("backend", ["mp-shm"])
 def test_mp_backends_score_with_merged_tolerance(backend):
     run = run_scenario(
         "hot-key-flood", backend, _PARAMS, k=8, workers=2
@@ -53,7 +54,7 @@ def test_sequential_and_cots_agree_on_the_summary():
     from repro.mp.driver import summaries_equivalent
 
     sequential = run_scenario("skew-drift", "sequential", _PARAMS, k=8)
-    cots = run_scenario("skew-drift", "cots", _PARAMS, k=8, threads=4)
+    cots = run_scenario("skew-drift", "cots-sim", _PARAMS, k=8, threads=4)
     assert summaries_equivalent(
         sequential.counter, cots.counter, k=8
     )
@@ -76,6 +77,34 @@ def test_metrics_fold_into_the_scenario_section():
     assert snapshot["counters"]["core.spacesaving.occurrences"] == (
         _PARAMS.length
     )
+
+
+def test_only_the_shard_merge_scores_with_merge_tolerance(monkeypatch):
+    """Scoring must not loosen: sequential and cots-sim are scored
+    strictly (an unmonitored true heavy hitter is a violation), only
+    mp-shm's hierarchical merge gets the merged tolerance."""
+    import repro.scenarios.runner as runner
+
+    flags = {}
+    real = runner.score_accuracy
+
+    def recording(counter, truth, k=10, merged=False):
+        flags[backend] = merged
+        return real(counter, truth, k=k, merged=merged)
+
+    monkeypatch.setattr(runner, "score_accuracy", recording)
+    for backend in ("sequential", "cots-sim", "mp-shm"):
+        run_scenario("flash-crowd", backend, _PARAMS, k=8, threads=2)
+    assert flags == {"sequential": False, "cots-sim": False, "mp-shm": True}
+
+
+def test_backend_metrics_ride_along_for_cots_sim():
+    registry = MetricsRegistry()
+    run = run_scenario(
+        "flash-crowd", "cots-sim", _PARAMS, k=8, threads=2,
+        metrics=registry,
+    )
+    assert any(name.startswith("cots.") for name in run.metrics["counters"])
 
 
 def test_metrics_disabled_by_default():
